@@ -1,15 +1,14 @@
 """The traced run: per-layer metrics from spans around public calls.
 
 It issues a fixed number of requests, so its counts repeat exactly
-for a seed, and makes up to three passes over the same seeded ops:
+for a seed, and makes three passes over the same seeded ops:
 
 * reference -- untraced, for the tracing overhead;
-* pass (a) -- wraps the request side: the in-process ``DILI`` for
-  ``local_read``; for the sharded workloads the ``ShardedDILI``
-  coordinator, ``ShardRouter.route`` and the ``ProcessHandle`` pipe
+* pass (a) -- wraps the request side: the ``ShardedDILI`` coordinator,
+  ``ShardRouter.route`` and the ``ProcessHandle`` pipe
   (``processes=True``, the client threads of the workload);
-* pass (b), sharded workloads only -- ``processes=False`` so the shard
-  workers run in this process and their layers can be wrapped:
+* pass (b) -- ``processes=False`` so the shard workers run in this
+  process and their layers can be wrapped:
   ``ShardWorker``, ``MmapDILI``, ``PlanStore``, ``FlatPlan``,
   ``DurableDILI``, ``WriteAheadLog``, ``DILI`` writes and ``os.fsync``.
   Its clients' ops are issued round-robin from one thread, so counts
@@ -48,7 +47,7 @@ from workloads import (
 )
 
 #: Requests per client thread in each pass of the traced run.
-TRACE_OPS = {"local_read": 300, "sharded_read": 60, "sharded_mixed": 40}
+TRACE_OPS = {"sharded_read": 120, "sharded_mixed": 40}
 
 READS = ("get_batch", "contains_batch")
 WRITES = ("insert_batch", "delete_batch")
@@ -67,9 +66,6 @@ def read_wchar() -> int:
 def wrap_core(rec: SpanRecorder) -> None:
     probes = {c: (lambda name: lambda d: getattr(d, name))(c)
               for c in PLAN_COUNTERS}
-    for verb in READS:
-        rec.wrap(DILI, verb, size_arg=1)
-    rec.wrap(DILI, "scan")
     rec.wrap(DILI, "bulk_load", size_arg=1)
     for verb in WRITES:
         rec.wrap(DILI, verb, size_arg=1, probes=probes)
@@ -156,7 +152,6 @@ def dir_bytes(path: str) -> int:
 
 def traced_run(inputs, state_root: str, dump_path: str | None = None):
     """Run every pass; returns ``(metrics, samples)``."""
-    sharded = inputs.workload != "local_read"
     totals = Samples()
     extra: dict = {}
 
@@ -169,64 +164,78 @@ def traced_run(inputs, state_root: str, dump_path: str | None = None):
         target.close()
 
     rec_a = SpanRecorder()
-    (wrap_coordinator if sharded else wrap_core)(rec_a)
+    wrap_coordinator(rec_a)
     try:
         target, _ = setup(inputs, state_root)
         try:
             samples, traced_s = fixed_ops(inputs, target, rec_a)
             totals.merge(samples)
             extra["live_keys"] = len(target.index)
-            if sharded:
-                extra["status"] = target.index.status()
-                extra["disk_bytes"] = dir_bytes(target.state_dir)
-            else:
-                extra["mem_bytes"] = target.index.memory_bytes()
+            extra["status"] = target.index.status()
+            extra["disk_bytes"] = dir_bytes(target.state_dir)
         finally:
             target.close()
     finally:
         rec_a.restore()
     extra["overhead"] = traced_s / plain_s - 1.0
 
-    spans_b: list = []
-    if sharded:
-        rec_b = SpanRecorder()
-        workers: list = []
-        wrap_worker_side(rec_b, workers)
+    rec_b = SpanRecorder()
+    workers: list = []
+    wrap_worker_side(rec_b, workers)
+    try:
+        target, _ = setup(inputs, state_root, processes=False)
         try:
-            target, _ = setup(inputs, state_root, processes=False)
-            try:
-                samples, _ = fixed_ops(inputs, target, rec_b, interleaved=True)
-                totals.merge(samples)
-                live = [w for w in workers if w.served is not None]
-                extra["worker_status"] = [w.status() for w in live]
-                extra["mem_bytes"] = sum(
-                    w.durable.index.memory_bytes() for w in live
-                )
-            finally:
-                target.close()
+            samples, _ = fixed_ops(inputs, target, rec_b, interleaved=True)
+            totals.merge(samples)
+            live = [w for w in workers if w.served is not None]
+            extra["worker_status"] = [w.status() for w in live]
+            extra["mem_bytes"] = sum(
+                w.durable.index.memory_bytes() for w in live
+            )
         finally:
-            rec_b.restore()
-        spans_b = rec_b.spans
+            target.close()
+    finally:
+        rec_b.restore()
     if dump_path is not None:
         with open(dump_path, "w") as fh:
-            json.dump({"pass_a": rec_a.spans, "pass_b": spans_b}, fh)
-    a, b = reduce_spans(rec_a.spans), reduce_spans(spans_b)
+            json.dump({"pass_a": rec_a.spans, "pass_b": rec_b.spans}, fh)
+    a, b = reduce_spans(rec_a.spans), reduce_spans(rec_b.spans)
     check_self_times(a)
     check_self_times(b)
-    metrics = layer_metrics(a, b if sharded else a, extra)
+    metrics = layer_metrics(a, b, extra)
     return metrics, totals
 
 
+#: Slack for comparing ``time.perf_counter`` stamps, in seconds.
+EPS = 1e-9
+
+
 def check_self_times(spans: list[dict]) -> None:
-    """Self times plus lead sum to each request span's duration."""
-    sums: dict[int, float] = {}
+    """Check the span tree that self times are computed from.
+
+    Every child lies inside its parent's ``[start, end]`` and the
+    children of one span do not overlap.  These are what make each
+    span's self time non-negative and the self times plus lead of a
+    request sum to the request span's duration.
+    """
+    by_id = {s["id"]: s for s in spans}
+    children: dict[int, list[dict]] = {}
     for span in spans:
-        sums[span["request"]] = sums.get(span["request"], 0.0) + (
-            span["self"] + span["lead"]
-        )
-    for span in spans:
-        if span["parent"] is None and abs(sums[span["id"]] - span["dur"]) > 1e-6:
-            raise AssertionError(f"self times of {span['name']} do not sum")
+        if span["self"] < -EPS:
+            raise AssertionError(f"{span['name']} has a negative self time")
+        if span["parent"] is None:
+            continue
+        parent = by_id[span["parent"]]
+        if span["start"] < parent["start"] - EPS or span["end"] > parent["end"] + EPS:
+            raise AssertionError(
+                f"{span['name']} escapes its parent {parent['name']}")
+        children.setdefault(span["parent"], []).append(span)
+    for kids in children.values():
+        kids = sorted(kids, key=lambda k: k["start"])
+        for before, after in zip(kids, kids[1:]):
+            if after["start"] < before["end"] - EPS:
+                raise AssertionError(
+                    f"{before['name']} and {after['name']} overlap")
 
 
 # ----------------------------------------------------------------------
@@ -271,8 +280,7 @@ class SpanView:
 def layer_metrics(a_spans, b_spans, extra: dict) -> dict:
     """Per-layer metrics; a layer the workload bypasses reads 0.
 
-    ``a_spans`` come from pass (a), ``b_spans`` from pass (b) -- for
-    ``local_read``, which has no pass (b), both are pass (a).
+    ``a_spans`` come from pass (a), ``b_spans`` from pass (b).
     """
     a, b = SpanView(a_spans), SpanView(b_spans)
     m: dict[str, float] = {}
@@ -280,11 +288,6 @@ def layer_metrics(a_spans, b_spans, extra: dict) -> dict:
     # core
     m["core.lookup_us_per_key"] = b.per_key_us(
         "FlatPlan.lookup_batch", under=READS)
-    m["core.gather_us_per_key"] = b.per_key_us("DILI.get_batch", "self")
-    m["core.contains_us_per_key"] = b.per_key_us("DILI.contains_batch")
-    scans = b.count("DILI.scan")
-    m["core.scan_us_per_key"] = (
-        b.total("DILI.scan", "dur") / (scans * 100) * 1e6 if scans else 0.0)
     m["core.bulk_load_s"] = b.total("DILI.bulk_load", "dur")
     m["core.plan_compile_ms"] = b.mean_ms("compile_plan")
     writes = [s for verb in WRITES for s in b.select(f"DILI.{verb}")]
@@ -303,10 +306,10 @@ def layer_metrics(a_spans, b_spans, extra: dict) -> dict:
     reads = b.select("PlanStore.get_batch")
     m["planstore.overlay_keys"] = (
         float(np.mean([s["overlay"] for s in reads])) if reads else 0.0)
-    statuses = extra.get("worker_status", [])
+    statuses = extra["worker_status"]
     m["planstore.rung"] = float(max((s["rung"] for s in statuses), default=0))
     m["planstore.disk_bytes_per_key"] = (
-        extra.get("disk_bytes", 0) / extra["live_keys"])
+        extra["disk_bytes"] / extra["live_keys"])
 
     # durability
     requests = [s for verb in WRITES for s in b.select(f"ShardedDILI.{verb}")]
@@ -329,9 +332,9 @@ def layer_metrics(a_spans, b_spans, extra: dict) -> dict:
         republishes / written * 1e3 if written else 0.0)
 
     # sharding
-    status = extra.get("status")
+    status = extra["status"]
     m["sharding.route_us_per_key"] = a.per_key_us("ShardRouter.route")
-    router = status["router"] if status else {"routed": 0}
+    router = status["router"]
     m["sharding.router_corrected_frac"] = (
         router["corrected"] / router["routed"] if router["routed"] else 0.0)
     m["sharding.send_ms"] = a.mean_ms("ProcessHandle.send", under=READS)
@@ -341,16 +344,13 @@ def layer_metrics(a_spans, b_spans, extra: dict) -> dict:
     m["sharding.lock_wait_ms"] = float(np.mean(
         [s["lead"] * 1e3 for verb in READS
          for s in a.select(f"ShardedDILI.{verb}")] or [0.0]))
-    creates = a.select("ShardedDILI.create")
-    inits = a.select("ShardedDILI.__init__")
-    first_read = a.select("ShardedDILI.get_batch")[:1]
-    m["sharding.create_s"] = (
-        creates[0]["dur"] - inits[0]["dur"] if creates else 0.0)
-    m["sharding.spawn_s"] = (
-        inits[0]["dur"] + first_read[0]["dur"] if creates else 0.0)
-    m["sharding.restarts"] = float(status["restarts"]) if status else 0.0
-    m["sharding.open_breakers"] = (
-        float(status["open_breakers"]) if status else 0.0)
+    create = a.select("ShardedDILI.create")[0]
+    init = a.select("ShardedDILI.__init__")[0]
+    first_read = a.select("ShardedDILI.get_batch")[0]
+    m["sharding.create_s"] = create["dur"] - init["dur"]
+    m["sharding.spawn_s"] = init["dur"] + first_read["dur"]
+    m["sharding.restarts"] = float(status["restarts"])
+    m["sharding.open_breakers"] = float(status["open_breakers"])
 
     m["trace.overhead_frac"] = extra["overhead"]
     return m

@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload local_read --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload sharded_read --seed 1 --seconds 40 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics over ``--seconds`` of
 closed-loop traffic; ``--trace 1`` makes the traced run and reports the
@@ -38,12 +38,9 @@ import workloads as wl  # noqa: E402
 #: End-to-end metrics (the untraced run): name -> unit.
 END_TO_END = {
     "setup_s": "s",
-    "read_keys_per_s": "1/s",
     "get_p50_ms": "ms",
-    "get_p90_ms": "ms",
     "contains_p50_ms": "ms",
     "write_keys_per_s": "1/s",
-    "write_p50_ms": "ms",
     "sim_ns_per_lookup": "ns",
     "rss_mb": "MB",
     "ok_ops_frac": "1",
@@ -54,9 +51,6 @@ END_TO_END = {
 _US, _CALL = "us/key", "ms/call"
 PER_LAYER = {
     "core.lookup_us_per_key": _US,
-    "core.gather_us_per_key": _US,
-    "core.contains_us_per_key": _US,
-    "core.scan_us_per_key": _US,
     "core.bulk_load_s": "s/setup",
     "core.plan_compile_ms": _CALL,
     "core.write_ms_per_batch": "ms/batch",
@@ -93,31 +87,12 @@ PER_LAYER = {
 }
 
 
-#: The read window is cut into this many equal blocks; every window
-#: metric is the median of its per-block values, so a slow host phase
-#: of a few seconds moves one block, not the result.
-BLOCKS = 5
-
-
-def block_median(calls, start: float, end: float, blocks: int, stat) -> float:
-    """Median over equal time blocks of ``stat(block_calls, seconds)``;
-    a call belongs to the block its end falls in."""
-    edges = np.linspace(start, end, blocks + 1)
-    ends = np.array([call[0] for call in calls])
-    which = np.clip(np.searchsorted(edges, ends, side="right") - 1, 0, blocks - 1)
-    values = [
-        stat([c for c, b in zip(calls, which) if b == k], edges[k + 1] - edges[k])
-        for k in range(blocks) if np.any(which == k)
-    ]
-    return float(np.median(values))
-
-
-def pct_ms(q: float):
-    return lambda calls, _: float(np.percentile([c[1] for c in calls], q)) * 1e3
+def p50_ms(calls) -> float:
+    return float(np.median([seconds for seconds, _ in calls])) * 1e3
 
 
 def keys_per_s(calls, seconds: float) -> float:
-    return sum(c[2] for c in calls) / seconds
+    return sum(answered for _, answered in calls) / seconds
 
 
 def end_to_end(inputs: wl.Inputs, seconds: float, state_root: str):
@@ -130,30 +105,28 @@ def end_to_end(inputs: wl.Inputs, seconds: float, state_root: str):
         if mixed:
             wl.warm_writes(target, writer)
         samples, start, end = wl.run_clients(
-            inputs, target.index, writer, seconds=seconds)
+            inputs, target.index, writer,
+            seconds=seconds if mixed else seconds * wl.READ_SHARE)
         if mixed:
-            writes, write_window = samples, (start, end, BLOCKS)
+            write_window = (start, end)
         else:
             wl.warm_writes(target, writer)
-            writes = wl.Samples()
-            write_window = (*wl.write_probe(target.index, writer, writes), 1)
-            samples.merge(writes)
+            probe = wl.Samples()
+            write_window = wl.write_probe(
+                target.index, writer, probe,
+                seconds=seconds * (1 - wl.READ_SHARE))
+            samples.merge(probe)
         wl.audit_writes(target.index, writer)
         rss = wl.peak_rss_mb(target)
     finally:
         target.close()
     calls = samples.calls
-    reads = [c for op in ("get", "contains", "scan") for c in calls.get(op, ())]
-    window = (start, end, BLOCKS)
+    write_s = write_window[1] - write_window[0]
     metrics = {
         "setup_s": setup_s,
-        "read_keys_per_s": block_median(reads, *window, keys_per_s),
-        "get_p50_ms": block_median(calls["get"], *window, pct_ms(50)),
-        "get_p90_ms": block_median(calls["get"], *window, pct_ms(90)),
-        "contains_p50_ms": block_median(calls["contains"], *window, pct_ms(50)),
-        "write_keys_per_s": block_median(
-            writes.calls["write"], *write_window, keys_per_s),
-        "write_p50_ms": block_median(calls["write"], *write_window, pct_ms(50)),
+        "get_p50_ms": p50_ms(calls["get"]),
+        "contains_p50_ms": p50_ms(calls["contains"]),
+        "write_keys_per_s": keys_per_s(calls["write"], write_s),
         "sim_ns_per_lookup": sim_ns,
         "rss_mb": rss,
         "ok_ops_frac": 1.0 - samples.failed / samples.attempted,

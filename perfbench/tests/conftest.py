@@ -24,5 +24,5 @@ def tiny(monkeypatch):
     monkeypatch.setattr(workloads, "SETUPS", 1)
     monkeypatch.setattr(workloads, "PROBE_OPS", 6)
     monkeypatch.setattr(layers, "TRACE_OPS", {
-        "local_read": 6, "sharded_read": 4, "sharded_mixed": 24,
+        "sharded_read": 4, "sharded_mixed": 24,
     })

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.bench.harness import GHZ
-from repro.core.dili import DILI
 from repro.data.datasets import fb_like
 from repro.sharding import (
     DeadlineExceeded,
@@ -34,7 +33,7 @@ from repro.simulate.cache import CacheSimulator
 from repro.simulate.tracer import CostTracer
 from repro.workloads.generator import zipf_indices
 
-WORKLOADS = ("local_read", "sharded_read", "sharded_mixed")
+WORKLOADS = ("sharded_read", "sharded_mixed")
 
 N_KEYS = 200_000
 #: The key set is the same in every run; ``--seed`` drives the request
@@ -42,9 +41,7 @@ N_KEYS = 200_000
 #: its seed, and per-seed key sets moved the simulated cost alone by
 #: 28% (quartile spread over five seeds), which would swamp every bound.
 DATASET_SEED = 0
-LOCAL_BATCH = 4096
-SHARDED_BATCH = 2048
-SCAN_COUNT = 100
+BATCH = 2048
 WRITE_BATCH = 256
 #: The writer deletes the batch it inserted this many batches earlier,
 #: so the live key count stays level.
@@ -56,9 +53,14 @@ ZIPF_THETA = 0.99
 POOL_BATCHES = 32
 #: Set-ups per run; ``setup_s`` is their median.
 SETUPS = 3
-#: Writes in the probe that follows a read-only window (the drain of
-#: the live batches comes on top).
-PROBE_OPS = 24
+#: Writes in the traced run's probe (the drain of the live batches
+#: comes on top).  The untimed run's probe runs for a time instead.
+PROBE_OPS = 40
+#: Share of ``--seconds`` that ``sharded_read`` spends reading; the
+#: write probe takes the rest.  Reads are steady within seconds; a
+#: write costs 100-200 ms and its median follows the host's slow and
+#: fast phases, so the writes get the longer share of the run.
+READ_SHARE = 0.4
 #: The ``sharded_mixed`` writer's pause after each acknowledged batch.
 #: The coordinator lock does not hand over fairly: a writer that
 #: re-requests it at once leaves the reader about 3 calls a second.
@@ -91,6 +93,18 @@ def audit(ok: bool, what: str) -> None:
 # ----------------------------------------------------------------------
 
 
+@dataclass
+class WriteBatch:
+    """One insert batch of the writer and its shadow state."""
+
+    keys: np.ndarray
+    values: list
+    #: False once a call on the batch was refused: the fleet may have
+    #: applied it in part, so its masks and read-back are not audited
+    #: until an acknowledged delete makes its keys absent again.
+    known: bool = True
+
+
 class HotWriter:
     """Seeded insert/delete stream over the hot slice of the key range.
 
@@ -98,8 +112,11 @@ class HotWriter:
     two neighbouring base keys (so they are never base keys); once
     more than ``DELETE_LAG`` batches are live, every insert is followed
     by a delete of the oldest live batch.  The op sequence depends only
-    on the seed, never on timing.  ``live`` and ``deleted`` shadow the
-    index: each op is applied right after :meth:`next_op` returns it.
+    on the seed and on which calls the fleet refuses, never on timing.
+    ``live`` and ``deleted`` shadow the index: :meth:`next_op` applies
+    its op to ``live``, :meth:`acknowledged` records a delete in
+    ``deleted``, and :meth:`refused` marks the batch of a refused op
+    as unknown.
     """
 
     def __init__(self, keys: np.ndarray, seed: int) -> None:
@@ -109,10 +126,11 @@ class HotWriter:
         self._ranks = np.arange(int(HOT_SLICE[0] * n), int(HOT_SLICE[1] * n))
         self._rng = np.random.default_rng([seed, 1])
         self._next = 0
-        self.live: deque = deque()
-        self.deleted: tuple | None = None
+        self.live: deque[WriteBatch] = deque()
+        #: The batch of the last acknowledged delete.
+        self.deleted: WriteBatch | None = None
 
-    def _batch(self) -> tuple[np.ndarray, list]:
+    def _batch(self) -> WriteBatch:
         b = self._next
         self._next += 1
         ranks = np.sort(self._rng.choice(self._ranks, WRITE_BATCH, replace=False))
@@ -121,21 +139,34 @@ class HotWriter:
         frac = (b % 64 + 1) / 65.0
         keys = self._keys[ranks] + self._gaps[ranks] * frac
         values = [-(1 + b * WRITE_BATCH + i) for i in range(WRITE_BATCH)]
-        return keys, values
+        return WriteBatch(keys, values)
 
-    def next_op(self) -> tuple:
-        """The next ``(kind, keys, values)`` write."""
+    def next_op(self) -> tuple[str, WriteBatch]:
+        """The next ``(kind, batch)`` write."""
         if len(self.live) > DELETE_LAG:
-            self.deleted = self.live.popleft()
-            return "delete", *self.deleted
-        keys, values = self._batch()
-        self.live.append((keys, values))
-        return "insert", keys, values
+            return "delete", self.live.popleft()
+        batch = self._batch()
+        self.live.append(batch)
+        return "insert", batch
+
+    def acknowledged(self, kind: str, batch: WriteBatch) -> None:
+        """The fleet answered ``kind`` on ``batch``."""
+        if kind == "delete":
+            self.deleted = batch
+
+    def refused(self, kind: str, batch: WriteBatch) -> None:
+        """The fleet refused ``kind`` on ``batch``: its outcome is
+        unknown.  A refused delete goes back to the front of ``live``,
+        so the next delete retries it."""
+        batch.known = False
+        if kind == "delete":
+            self.live.appendleft(batch)
 
     def drain(self):
-        while self.live:
-            self.deleted = self.live.popleft()
-            yield "delete", *self.deleted
+        """One delete per batch live now; a refused delete is retried
+        by the next one."""
+        for _ in range(len(self.live)):
+            yield "delete", self.live.popleft()
 
 
 @dataclass
@@ -145,7 +176,6 @@ class Inputs:
     keys: np.ndarray
     gets: list = field(default_factory=list)       # (keys, expected values)
     contains: list = field(default_factory=list)   # (keys, expected mask)
-    scans: list = field(default_factory=list)      # (lo, expected pairs)
     sim_keys: np.ndarray | None = None
     read_mix: np.ndarray | None = None             # True: get, False: contains
 
@@ -162,7 +192,7 @@ def make_inputs(workload: str, seed: int) -> Inputs:
     n = len(keys)
     rng = np.random.default_rng([seed, 0])
     inputs = Inputs(workload, seed, keys)
-    batch = LOCAL_BATCH if workload == "local_read" else SHARDED_BATCH
+    batch = BATCH
     if workload == "sharded_mixed":
         lo, hi = int(HOT_SLICE[0] * n), int(HOT_SLICE[1] * n)
         readable = np.r_[0:lo - 1, hi:n - 1]  # never written, never last
@@ -170,8 +200,6 @@ def make_inputs(workload: str, seed: int) -> Inputs:
         readable = np.arange(n - 1)
 
     def draw(count: int) -> np.ndarray:
-        if workload == "local_read":
-            return rng.integers(0, len(readable), count)
         return zipf_indices(len(readable), count, rng, ZIPF_THETA)
 
     for _ in range(POOL_BATCHES):
@@ -186,11 +214,6 @@ def make_inputs(workload: str, seed: int) -> Inputs:
         expected = np.arange(batch) < half
         order = rng.permutation(batch)
         inputs.contains.append((probe[order], expected[order]))
-    if workload == "local_read":
-        for r in rng.integers(0, n - SCAN_COUNT, POOL_BATCHES).tolist():
-            pairs = list(zip(keys[r:r + SCAN_COUNT].tolist(),
-                             range(r, r + SCAN_COUNT)))
-            inputs.scans.append((float(keys[r]), pairs))
     inputs.sim_keys = keys[readable[draw(16_384)]]
     inputs.read_mix = rng.random(4096) < 0.5
     return inputs
@@ -204,12 +227,11 @@ def make_inputs(workload: str, seed: int) -> Inputs:
 class Samples:
     """Timed calls of one or more client threads.
 
-    ``calls[op]`` holds one ``(end, seconds, keys answered)`` triple
-    per call.
+    ``calls[op]`` holds one ``(seconds, keys answered)`` pair per call.
     """
 
     def __init__(self) -> None:
-        self.calls: dict[str, list[tuple[float, float, int]]] = {}
+        self.calls: dict[str, list[tuple[float, int]]] = {}
         self.attempted = 0
         self.failed = 0
 
@@ -225,7 +247,7 @@ class Samples:
             result = None
         t1 = time.perf_counter()
         answered = 0 if result is None else count
-        self.calls.setdefault(op, []).append((t1, t1 - t0, answered))
+        self.calls.setdefault(op, []).append((t1 - t0, answered))
         return result
 
     def merge(self, other: "Samples") -> None:
@@ -241,38 +263,26 @@ class Samples:
 
 
 class Target:
-    """The served index of one run: a local DILI or a shard fleet."""
+    """The shard fleet of one run and its state directory."""
 
-    def __init__(self, index, state_dir: str | None = None) -> None:
+    def __init__(self, index: ShardedDILI, state_dir: str) -> None:
         self.index = index
         self.state_dir = state_dir
 
-    @property
-    def sharded(self) -> bool:
-        return isinstance(self.index, ShardedDILI)
-
     def close(self) -> None:
-        if self.sharded:
-            self.index.close()
-        if self.state_dir is not None:
-            shutil.rmtree(self.state_dir, ignore_errors=True)
+        """Stop and join the workers, then remove the state."""
+        self.index.close()
+        shutil.rmtree(self.state_dir, ignore_errors=True)
 
 
 def setup(inputs: Inputs, state_root: str, *, processes: bool = True):
     """Build the served index; returns ``(target, seconds)``.
 
     The time runs from keys in hand to the first answered request:
-    bulk load plus the lazy plan compile, or fleet create + publish +
-    worker spawn.
+    fleet create (bulk load + publish) plus worker spawn.
     """
     gc.collect()
     first = inputs.gets[0][0]
-    if inputs.workload == "local_read":
-        t0 = time.perf_counter()
-        index = DILI()
-        index.bulk_load(inputs.keys)
-        index.get_batch(first)
-        return Target(index), time.perf_counter() - t0
     state_dir = tempfile.mkdtemp(prefix="fleet-", dir=state_root)
     t0 = time.perf_counter()
     fleet = ShardedDILI.create(
@@ -317,59 +327,51 @@ def read_contains(samples: Samples, index, batch) -> None:
               "contains_batch returned a wrong answer")
 
 
-def read_scan(samples: Samples, index, scan) -> None:
-    lo, expected = scan
-    pairs = samples.timed("scan", SCAN_COUNT, index.scan, lo, SCAN_COUNT)
-    if pairs is not None:
-        audit(list(pairs) == expected, "scan returned wrong pairs")
-
-
-def write_op(samples: Samples, index, op) -> None:
-    kind, keys, values = op
+def write_op(samples: Samples, index, writer: HotWriter, op) -> None:
+    kind, batch = op
     if kind == "insert":
-        mask = samples.timed("write", len(keys), index.insert_batch, keys, values)
+        mask = samples.timed("write", len(batch.keys), index.insert_batch,
+                             batch.keys, batch.values)
     else:
-        mask = samples.timed("write", len(keys), index.delete_batch, keys)
-    if mask is not None:
+        mask = samples.timed("write", len(batch.keys), index.delete_batch,
+                             batch.keys)
+    if mask is None:
+        writer.refused(kind, batch)
+        return
+    if batch.known:
         audit(bool(np.all(mask)), f"{kind}_batch reported a missed key")
+    writer.acknowledged(kind, batch)
 
 
 def read_step(inputs: Inputs, samples: Samples, index, role: str,
-              i: int, slot: int) -> None:
-    """Request ``i`` of the reader in ``slot`` playing ``role`` (see
-    :func:`client_plan`); readers start at different pool offsets."""
-    pool = len(inputs.gets)
-    j = i + slot * pool // 2
-    if role == "cycle":
-        cycle, phase = divmod(j, 3)
-        if phase == 2:
-            read_scan(samples, index, inputs.scans[cycle % pool])
-            return
-        role = "get" if phase == 0 else "contains"
-    elif role == "coin":
-        role = "get" if inputs.read_mix[j % len(inputs.read_mix)] else "contains"
-    if role == "get":
-        read_get(samples, index, inputs.gets[j % pool])
+              i: int) -> None:
+    """Request ``i`` of a reader playing ``role`` (see
+    :func:`client_plan`)."""
+    if role == "coin":
+        get, k = inputs.read_mix[i % len(inputs.read_mix)], i
     else:
-        read_contains(samples, index, inputs.contains[j % pool])
+        get, k = i % 2 == 0, i // 2
+    if get:
+        read_get(samples, index, inputs.gets[k % len(inputs.gets)])
+    else:
+        read_contains(samples, index, inputs.contains[k % len(inputs.contains)])
 
 
 def client_plan(workload: str) -> list[str]:
     """The roles of a workload's closed-loop client threads.
 
-    ``cycle`` repeats get, contains, scan.  On ``sharded_read`` one
-    thread issues every ``get_batch`` and the other every
-    ``contains_batch``: a thread alternating the two made the contains
-    latency flip between waiting behind a get and not (its median moved
-    by half over ten seeds).  The ``sharded_mixed`` reader picks get or
-    contains by a seeded coin, since strict alternation locks into step
-    with the writer's period and one class would always be the one
-    that waits behind the write.
+    ``sharded_read`` has one reader, alternating ``get_batch`` and
+    ``contains_batch``.  With two readers contending on the coordinator
+    lock, how the lock was handed over changed from run to run (one run
+    had contains waiting behind every get, the next almost none), and
+    the medians moved by half.  Lock contention is measured on
+    ``sharded_mixed``, whose reader waits behind the writer.  That
+    reader picks get or contains by a seeded coin, since strict
+    alternation locks into step with the writer's period and one class
+    would always be the one that waits behind the write.
     """
-    if workload == "local_read":
-        return ["cycle"]
     if workload == "sharded_read":
-        return ["get", "contains"]
+        return ["alternate"]
     return ["writer", "coin"]
 
 
@@ -394,10 +396,10 @@ def run_clients(inputs: Inputs, index, writer: HotWriter, *,
                 end is None or time.perf_counter() < end
             ):
                 if role == "writer":
-                    write_op(samples, index, writer.next_op())
+                    write_op(samples, index, writer, writer.next_op())
                     time.sleep(WRITER_THINK_S)
                 else:
-                    read_step(inputs, samples, index, role, i, slot)
+                    read_step(inputs, samples, index, role, i)
                 i += 1
         except Exception as exc:  # re-raised after the join
             errors.append(exc)
@@ -426,40 +428,46 @@ def run_interleaved(inputs: Inputs, index, writer: HotWriter, ops: int):
     roles = client_plan(inputs.workload)
     samples = Samples()
     for i in range(ops):
-        for slot, role in enumerate(roles):
+        for role in roles:
             if role == "writer":
-                write_op(samples, index, writer.next_op())
+                write_op(samples, index, writer, writer.next_op())
             else:
-                read_step(inputs, samples, index, role, i, slot)
+                read_step(inputs, samples, index, role, i)
     return samples
 
 
 def warm_writes(target: Target, writer: HotWriter) -> None:
-    """Untimed writes up to a fleet's first republish (none locally)."""
-    if target.sharded:
-        for _ in range(WARM_WRITE_OPS):
-            write_op(Samples(), target.index, writer.next_op())
+    """Untimed writes up to the fleet's first republish."""
+    for _ in range(WARM_WRITE_OPS):
+        write_op(Samples(), target.index, writer, writer.next_op())
 
 
-def write_probe(index, writer: HotWriter, samples: Samples):
-    """Fixed write sequence after a read-only window; returns its
-    ``(start, end)``.  Drains, so the index ends with its base keys."""
+def write_probe(index, writer: HotWriter, samples: Samples, *,
+                seconds: float | None = None):
+    """The writes after a read-only window: for ``seconds`` of wall
+    time (at least one write) or, without it, ``PROBE_OPS`` writes.
+    Drains, so the index ends with its base keys.  Returns the probe's
+    ``(start, end)``."""
     t0 = time.perf_counter()
-    for _ in range(PROBE_OPS):
-        write_op(samples, index, writer.next_op())
+    done = 0
+    while (done < PROBE_OPS if seconds is None
+           else done == 0 or time.perf_counter() - t0 < seconds):
+        write_op(samples, index, writer, writer.next_op())
+        done += 1
     for op in writer.drain():
-        write_op(samples, index, op)
+        write_op(samples, index, writer, op)
     return t0, time.perf_counter()
 
 
 def audit_writes(index, writer: HotWriter) -> None:
     """Live fresh keys read back their values; the last deleted batch
-    reads back absent."""
-    for keys, values in writer.live:
-        audit(list(index.get_batch(keys)) == values,
-              "an acknowledged insert does not read back")
+    reads back absent.  Batches with a refused call are skipped."""
+    for batch in writer.live:
+        if batch.known:
+            audit(list(index.get_batch(batch.keys)) == batch.values,
+                  "an acknowledged insert does not read back")
     if writer.deleted is not None:
-        audit(all(v is None for v in index.get_batch(writer.deleted[0])),
+        audit(all(v is None for v in index.get_batch(writer.deleted.keys)),
               "an acknowledged delete still reads back")
 
 
@@ -482,7 +490,7 @@ def simulate(index, inputs: Inputs) -> tuple[float, float]:
 def peak_rss_mb(target: Target) -> float:
     """Peak RSS (``VmHWM``) summed over this process and its workers."""
     pids = [os.getpid()]
-    if target.sharded and target.index.processes:
+    if target.index.processes:
         pids += [s["pid"] for s in target.index.status()["shards"]]
     total_kb = 0
     for pid in pids:
