@@ -28,14 +28,19 @@ the repository root) and exits non-zero when any of
   epoch pins during the contended run, or (only on machines with >= 4
   CPUs, where thread scaling is physically possible under CPython) a
   4-reader/1-reader throughput ratio below 2.5x, or
-* the sharded multi-process serving path loses its win: any wrong
-  read through the coordinator (always fatal), per-shard distribution
-  tuning failing to beat the single best global config on the
-  mixed-distribution keyset (the comparison is simulated, hence
-  deterministic), or (only on machines with >= 2 CPUs, where process
-  scaling is physically possible) batch-get throughput at 2 worker
-  processes below 1.7x the 1-worker throughput through the identical
-  coordinator/pipe stack.
+* the sharded serving path loses its win: any wrong read through the
+  coordinator (always fatal), per-shard distribution tuning failing to
+  beat the single best global config on the mixed-distribution keyset
+  (the comparison is simulated, hence deterministic), or a sharded
+  ``get_batch`` costing more than a fixed multiple of the unsharded
+  ``DILI.get_batch`` it serves, timed interleaved in the same run (best
+  of 7): 2x for a one-shard in-process fleet, 3x for a one-shard fleet
+  behind one worker process.  These same-run ratios price what the
+  sharded layer adds to the descent -- routing, the worker, plan-store
+  value decode, the pipe, the merge -- whatever the host's speed.  The
+  2-worker/1-worker throughput ratio (``scaling_2``) is still measured
+  and printed but not gated: with value decode gone from the workers,
+  the coordinator's share of a 2-CPU host bounds it, not the workers.
 
 Regenerate the baseline after an intentional cost change with::
 
@@ -73,20 +78,34 @@ OPEN_FACTOR = 5.0
 OPEN_FLOOR_MS = 25.0
 MIN_CONTENTION_SPEEDUP = 2.5
 MIN_SCALING_4 = 2.5  # gated only where >= 4 CPUs make it measurable
-MIN_SHARD_SCALING_2 = 1.7  # gated only where >= 2 CPUs make it measurable
+MAX_SHARD_INPROC_RATIO = 2.0  # in-process sharded / DILI get_batch
+MAX_SHARD_PROCESS_RATIO = 3.0  # 1-worker-process sharded / DILI get_batch
 
 
 def measure_sharded() -> dict:
     """Sharded multi-process throughput scaling + tuning comparison."""
     from repro.bench.harness import (
         measure_shard_tuning,
+        measure_sharded_read_ratios,
         measure_sharded_throughput,
         mixed_distribution_keys,
     )
 
-    m = measure_sharded_throughput(mixed_distribution_keys(60_000))
+    keys = mixed_distribution_keys(60_000)
+    m = measure_sharded_throughput(keys)
+    r = measure_sharded_read_ratios(keys)
     t = measure_shard_tuning()
     return {
+        "read_ratios": {
+            "dili_ms": round(r.dili_s * 1e3, 2),
+            "inproc_ms": round(r.inproc_s * 1e3, 2),
+            "process_ms": round(r.process_s * 1e3, 2),
+            "inproc_ratio": round(r.inproc_ratio, 2),
+            "process_ratio": round(r.process_ratio, 2),
+            "wrong_reads": r.wrong_reads,
+            "batch": r.batch,
+            "rounds": r.rounds,
+        },
         "worker_counts": list(m.worker_counts),
         "ops_per_s": {
             str(n): round(v) for n, v in m.ops_per_s.items()
@@ -363,20 +382,28 @@ def main(argv: list[str] | None = None) -> int:
                 "no longer beat the single global config on the "
                 "mixed-distribution keyset (deterministic simulation)"
             )
-        two_cpus = (os.cpu_count() or 1) >= 2
-        if two_cpus and got["scaling_2"] < MIN_SHARD_SCALING_2:
+        ratios = got["read_ratios"]
+        if ratios["wrong_reads"] != 0:
             failures.append(
-                f"sharded: 2-worker scaling {got['scaling_2']:.2f}x "
-                f"below the {MIN_SHARD_SCALING_2}x floor on a "
-                f"{os.cpu_count()}-CPU machine"
+                f"sharded: {ratios['wrong_reads']} sharded reads differ "
+                "from the unsharded index's answers"
             )
-        scaling_note = (
-            f"scaling_2 {got['scaling_2']:.2f}x"
-            + ("" if two_cpus else
-               f" (not gated: {got['cpu_count']} CPU)")
-        )
+        for path, limit in (("inproc", MAX_SHARD_INPROC_RATIO),
+                            ("process", MAX_SHARD_PROCESS_RATIO)):
+            if ratios[f"{path}_ratio"] > limit:
+                failures.append(
+                    f"sharded: {path} get_batch {ratios[f'{path}_ms']:.1f} "
+                    f"ms is {ratios[f'{path}_ratio']:.2f}x DILI.get_batch "
+                    f"({ratios['dili_ms']:.1f} ms), over the {limit}x "
+                    "ceiling"
+                )
         print(
-            f"sharded: {scaling_note}, "
+            f"sharded: get_batch vs DILI {ratios['dili_ms']:.1f} ms: "
+            f"in-process {ratios['inproc_ratio']:.2f}x "
+            f"(ceiling {MAX_SHARD_INPROC_RATIO}x), 1 worker process "
+            f"{ratios['process_ratio']:.2f}x "
+            f"(ceiling {MAX_SHARD_PROCESS_RATIO}x), "
+            f"scaling_2 {got['scaling_2']:.2f}x (not gated), "
             f"wrong reads {got['wrong_reads']}, "
             f"tuning gain {tuning['gain_pct']:.2f}% "
             f"(local {tuning['local_cycles_per_op']:.1f} vs global "

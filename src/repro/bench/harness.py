@@ -918,6 +918,107 @@ def measure_sharded_throughput(
     )
 
 
+@dataclass(frozen=True)
+class ShardedReadRatioMeasurement:
+    """Sharded ``get_batch`` against ``DILI.get_batch``, same run.
+
+    Attributes:
+        dili_s: Best ``DILI.get_batch`` wall time over the rounds.
+        inproc_s: Best one-shard in-process ``ShardedDILI.get_batch``.
+        process_s: Best one-shard, one-worker-process
+            ``ShardedDILI.get_batch``.
+        wrong_reads: Sharded answers that differ from the unsharded
+            index's.  Must be zero.
+        num_keys: Keys loaded.
+        batch: Keys per measured call.
+        rounds: Interleaved rounds; each path's best is kept.
+    """
+
+    dili_s: float
+    inproc_s: float
+    process_s: float
+    wrong_reads: int
+    num_keys: int
+    batch: int
+    rounds: int
+
+    @property
+    def inproc_ratio(self) -> float:
+        return self.inproc_s / self.dili_s if self.dili_s > 0 else 0.0
+
+    @property
+    def process_ratio(self) -> float:
+        return self.process_s / self.dili_s if self.dili_s > 0 else 0.0
+
+
+def measure_sharded_read_ratios(
+    keys: np.ndarray,
+    *,
+    batch: int = 32_768,
+    rounds: int = 7,
+    seed: int = 37,
+) -> ShardedReadRatioMeasurement:
+    """Time sharded reads against the unsharded index they serve.
+
+    Loads the rank payload (the value of a key is its position) into
+    one ``DILI`` and into two one-shard fleets over the same keys: one
+    served in-process, one by a worker process reading the published
+    plan.  Each round times one ``get_batch`` of the same pre-drawn
+    existing-key batch on all three back to back, so host speed drifts
+    hit every path alike; the best time per path is kept.  With one
+    shard, the ratios price exactly what the sharded layer adds to the
+    descent: routing, the worker, plan-store value decode, the pipe and
+    the merge.
+    """
+    import tempfile
+
+    from repro.sharding import ShardedDILI
+
+    keys = np.ascontiguousarray(keys, dtype=np.float64)
+    values = list(range(len(keys)))
+    rng = np.random.default_rng(seed)
+    queries = keys[rng.integers(0, len(keys), size=batch)]
+    index = DILI()
+    index.bulk_load(keys, list(values))
+    want = index.get_batch(queries)
+    best = {"dili": float("inf"), "inproc": float("inf"),
+            "process": float("inf")}
+    wrong_reads = 0
+    with tempfile.TemporaryDirectory(prefix="repro-shard-ratio-") as tmp:
+        fleets = {
+            name: ShardedDILI.create(
+                os.path.join(tmp, name), keys, values, num_shards=1,
+                partition="range", tuning="none", processes=processes,
+                sync=False,
+            )
+            for name, processes in (("inproc", False), ("process", True))
+        }
+        paths = {"dili": index, **fleets}
+        try:
+            for target in paths.values():
+                target.get_batch(queries[:256])  # warm pages + workers
+            for _ in range(max(rounds, 1)):
+                for name, target in paths.items():
+                    t0 = time.perf_counter()
+                    got = target.get_batch(queries)
+                    best[name] = min(best[name], time.perf_counter() - t0)
+                    wrong_reads += sum(
+                        1 for g, w in zip(got, want) if g != w
+                    )
+        finally:
+            for fleet in fleets.values():
+                fleet.close()
+    return ShardedReadRatioMeasurement(
+        dili_s=best["dili"],
+        inproc_s=best["inproc"],
+        process_s=best["process"],
+        wrong_reads=wrong_reads,
+        num_keys=len(keys),
+        batch=batch,
+        rounds=max(rounds, 1),
+    )
+
+
 def mixed_distribution_keys(
     num_keys: int, seed: int = 41
 ) -> np.ndarray:

@@ -88,6 +88,7 @@ CHK008 keeps all other code off the in-place mutators.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -340,13 +341,30 @@ class FlatPlan:
         return self.gather_values(out)
 
     def gather_values(self, out: np.ndarray) -> list:
-        """Map flat value indices (-1 = miss) to payloads, vectorised."""
-        values_arr = np.empty(len(self.values), dtype=object)
-        if len(self.values):
-            values_arr[:] = self.values
-        picked = values_arr[np.maximum(out, 0)] if len(out) else values_arr[:0]
-        picked[out < 0] = None
-        return picked.tolist()
+        """Map flat value indices (-1 = miss) to payloads.
+
+        A batch under half the value count is gathered per index
+        (O(batch)); a larger one copies the value list into an object
+        array once and gathers with one fancy index, which is faster
+        when most of the list is touched anyway.
+        """
+        values = self.values
+        if len(values) == 0:
+            return [None] * len(out)
+        idx = np.maximum(out, 0)
+        if 2 * len(out) < len(values):
+            picked = (
+                list(operator.itemgetter(*idx.tolist())(values))
+                if len(idx) > 1 else [values[int(i)] for i in idx]
+            )
+            for pos in np.flatnonzero(out < 0).tolist():
+                picked[pos] = None
+            return picked
+        values_arr = np.empty(len(values), dtype=object)
+        values_arr[:] = values
+        picked_arr = values_arr[idx]
+        picked_arr[out < 0] = None
+        return picked_arr.tolist()
 
     def contains_batch(self, keys: np.ndarray) -> np.ndarray:
         """Boolean membership array for the key batch."""

@@ -19,10 +19,20 @@ read or eagerly by the auditor).  The payload is **never** pickled:
 buffers are raw numpy memory, written with ``tofile`` semantics and
 mapped back with ``np.memmap``.
 
-Values are the one non-numeric column: each value is pickled
-*individually* into ``value_bytes`` with ``value_offsets`` (int64,
-``count+1`` entries) delimiting it, so a read decodes exactly the
-values it returns -- opening never materializes the value column.
+The value column takes one of two shapes, recorded in the header's
+``value_column`` field and chosen from the values themselves:
+
+* ``"int64"`` -- every value is an exact Python ``int`` (``type(v) is
+  int``: ``bool`` and ``np.int64`` do not qualify) inside the int64
+  range.  The column is one CRC-framed ``value_int64`` buffer, read
+  with a single fancy-index gather.  The default rank payload takes
+  this path.
+* ``"pickle"`` -- anything else.  Each value is pickled *individually*
+  into ``value_bytes`` with ``value_offsets`` (int64, ``count+1``
+  entries) delimiting it, so a read decodes exactly the values it
+  returns -- opening never materializes the column.  A header without
+  ``value_column`` (files written before the typed column existed)
+  means this layout.
 
 Delta file::
 
@@ -67,6 +77,12 @@ _PREFIX_SIZE = 8 + _FRAME.size
 MAX_HEADER_LEN = 1 << 20
 MAX_DELTA_PAYLOAD = 1 << 30
 
+#: Value-column buffers per ``value_column`` header tag.
+VALUE_BUFFERS: dict[str, tuple[str, ...]] = {
+    "int64": ("value_int64",),
+    "pickle": ("value_offsets", "value_bytes"),
+}
+
 #: Buffer serialization order.  ``sorted_keys`` is appended only when it
 #: does not alias ``pair_keys`` (mixed pair/dense trees).
 BUFFER_NAMES: tuple[str, ...] = (
@@ -90,6 +106,17 @@ class PlanStaleError(PlanStoreError):
 
 def _align8(n: int) -> int:
     return (n + 7) & ~7
+
+
+def int64_values(values) -> np.ndarray | None:
+    """``values`` as one int64 array, or None if any is not an exact
+    ``int`` (``bool`` and numpy integers excluded) in the int64 range."""
+    if not all(type(v) is int for v in values):
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
 
 
 def encode_values(values) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +155,6 @@ def write_plan_file(
     path = os.fspath(path)
     faults = faults if faults is not None else NULL_FAULTS
 
-    value_bytes, value_offsets = encode_values(plan.values)
     buffers: list[tuple[str, np.ndarray]] = [
         (name, np.ascontiguousarray(getattr(plan, name)))
         for name in BUFFER_NAMES
@@ -140,8 +166,15 @@ def write_plan_file(
         buffers.append(
             ("sorted_keys", np.ascontiguousarray(plan.sorted_keys))
         )
-    buffers.append(("value_offsets", value_offsets))
-    buffers.append(("value_bytes", value_bytes))
+    ints = int64_values(plan.values)
+    if ints is not None:
+        value_column = "int64"
+        buffers.append(("value_int64", ints))
+    else:
+        value_column = "pickle"
+        value_bytes, value_offsets = encode_values(plan.values)
+        buffers.append(("value_offsets", value_offsets))
+        buffers.append(("value_bytes", value_bytes))
 
     # Lay the buffers out twice: descriptor offsets depend on the header
     # length, which depends on the descriptors.  Offsets are relative to
@@ -170,6 +203,7 @@ def write_plan_file(
         "depth": int(plan.depth),
         "num_pairs": int(plan.num_pairs),
         "value_count": len(plan.values),
+        "value_column": value_column,
         "sorted_is_pair": bool(sorted_is_pair),
         "buffers": descs,
     }
@@ -302,7 +336,10 @@ def read_plan_header(path) -> dict:
             raise PlanFormatError(
                 f"{path}: buffer {name!r} extent outside the file"
             )
-    missing = set(BUFFER_NAMES + ("value_offsets", "value_bytes")) - seen
+    column = header.setdefault("value_column", "pickle")
+    if column not in VALUE_BUFFERS:
+        raise PlanFormatError(f"{path}: unknown value column {column!r}")
+    missing = set(BUFFER_NAMES + VALUE_BUFFERS[column]) - seen
     if missing:
         raise PlanFormatError(
             f"{path}: header missing buffers {sorted(missing)}"

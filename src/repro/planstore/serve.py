@@ -52,7 +52,7 @@ from repro.planstore.format import (
     write_delta_file,
     write_plan_file,
 )
-from repro.planstore.store import PlanStore
+from repro.planstore.store import PlanStore, value_arrays
 from repro.resilience.health import Health, HealthMonitor
 from repro.simulate.latency import DEFAULT_CYCLES, CyclesPerOp
 from repro.simulate.tracer import NULL_TRACER, Tracer
@@ -400,9 +400,15 @@ class MmapDILI:
                     f"{self.dirpath}: no plan, no snapshot+WAL rebuild; "
                     f"serving is DEGRADED"
                 )
-            target = store if store is not None else fallback
             try:
-                return getattr(target, method)(*args, **kwargs)
+                if store is None:
+                    # Rung 3 serves the rebuilt live index, whose batch
+                    # reads take no options and answer lists.
+                    answer = getattr(fallback, method)(*args)
+                    if kwargs.get("arrays"):
+                        return value_arrays(answer)
+                    return answer
+                return getattr(store, method)(*args, **kwargs)
             except PlanStoreError as exc:
                 with self._lock:
                     if self._store is store and store is not None:
@@ -413,9 +419,13 @@ class MmapDILI:
             f"{self.dirpath}: fallback ladder exhausted"
         )
 
-    def get_batch(self, keys, tracer: Tracer = NULL_TRACER) -> list:
-        """Values for a key batch, ``None`` where absent."""
-        return self._read("get_batch", keys, tracer)
+    def get_batch(
+        self, keys, tracer: Tracer = NULL_TRACER, *, arrays: bool = False
+    ):
+        """Values for a key batch, ``None`` where absent.  ``arrays=True``
+        answers with :meth:`PlanStore.get_batch`'s ``(values, found)``
+        pair on every rung."""
+        return self._read("get_batch", keys, tracer, arrays=arrays)
 
     def contains_batch(self, keys):
         """Boolean membership for a key batch."""

@@ -12,9 +12,14 @@ anywhere in the file is caught before any answer derived from it is
 returned, while open stays O(1).  :meth:`PlanStore.verify` runs the
 same check eagerly for auditors.
 
-Values are decoded per returned index from the delimited
-``value_bytes`` column -- a batch ``get`` unpickles exactly the values
-it hands back, never the whole column.
+A batch ``get`` gathers the value column once per batch, in the shape
+the file recorded (see :mod:`repro.planstore.format`): a typed int64
+column is one fancy-index gather; a pickle column gathers the returned
+entries' offsets as arrays and unpickles exactly those entries from one
+contiguous view of the verified buffer, never the whole column.
+``get_batch(..., arrays=True)`` hands the gathered ``(values, found)``
+arrays back as they are, which is what the shard worker ships over its
+pipe.
 
 Deltas and WAL-tail records replay into a key-level *overlay* (the
 buffers themselves are immutable):
@@ -52,6 +57,7 @@ from repro.durability.wal import (
 )
 from repro.planstore.format import (
     PlanFormatError,
+    int64_values,
     read_delta_file,
     read_plan_header,
 )
@@ -61,27 +67,75 @@ from repro.simulate.tracer import NULL_TRACER, NullTracer, Tracer
 _TOMBSTONE = object()
 
 
-class _LazyValues:
-    """Sequence facade over the delimited pickle column.
+class _Int64Column:
+    """The typed value column: one int64 buffer, gathered in one index."""
 
-    :class:`FlatPlan` only needs ``len`` (and indexing for the scalar
-    paths the store never uses); decoding happens per index, on demand.
+    __slots__ = ("_ints",)
+
+    def __init__(self, ints: np.ndarray):
+        self._ints = ints.view(np.ndarray)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def take(self, idx: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """int64 values at ``idx``; positions not ``found`` hold 0."""
+        if len(self._ints) == 0:
+            return np.zeros(len(idx), dtype=np.int64)
+        picked = self._ints[idx]
+        picked[~found] = 0
+        return picked
+
+
+class _PickleColumn:
+    """The delimited pickle column, decoded for a batch in one pass.
+
+    The offsets of every returned entry are gathered as arrays, then
+    each entry is unpickled straight from a memoryview of the mapped
+    buffer -- no per-key memmap slice or copy.
     """
 
     __slots__ = ("_bytes", "_offsets")
 
     def __init__(self, value_bytes: np.ndarray, offsets: np.ndarray):
         self._bytes = value_bytes
-        self._offsets = offsets
+        self._offsets = offsets.view(np.ndarray)
 
     def __len__(self) -> int:
         return len(self._offsets) - 1
 
-    def __getitem__(self, i: int):
-        lo, hi = int(self._offsets[i]), int(self._offsets[i + 1])
-        return pickle.loads(  # repro-check: allow CHK011 -- PlanStore._ensure_verified checksums the mapped file before any read indexes this column (lazy-verify contract)
-            self._bytes[lo:hi].tobytes()
-        )
+    def take(self, idx: np.ndarray, found: np.ndarray) -> np.ndarray:
+        """Object array of the values at ``idx``; None where not ``found``."""
+        out = np.full(len(idx), None, dtype=object)
+        hit = np.flatnonzero(found)
+        if len(hit) == 0:
+            return out
+        rows = idx[hit]
+        los = self._offsets[rows].tolist()
+        his = self._offsets[rows + 1].tolist()
+        view = memoryview(self._bytes)
+        for pos, lo, hi in zip(hit.tolist(), los, his):
+            out[pos] = pickle.loads(view[lo:hi])  # repro-check: allow CHK011 -- PlanStore._ensure_verified checksums the mapped file before any read gathers from this column (lazy-verify contract)
+        return out
+
+
+def value_arrays(values: list) -> tuple[np.ndarray, np.ndarray]:
+    """A ``get_batch`` answer list as a ``(values, found)`` pair.
+
+    The object-array form of :meth:`PlanStore.get_batch`'s
+    ``arrays=True`` answer, for readers that only produce lists (the
+    rung-3 rebuild, a live index).  ``found`` is False wherever the
+    answer is None: a list cannot tell an absent key from a stored
+    None, and both answer None.
+    """
+    out = np.empty(len(values), dtype=object)
+    for pos, value in enumerate(values):
+        out[pos] = value
+    found = np.fromiter(
+        (value is not None for value in values), dtype=bool,
+        count=len(values),
+    )
+    return out, found
 
 
 class PlanStore:
@@ -97,7 +151,7 @@ class PlanStore:
         path: str,
         header: dict,
         plan: FlatPlan,
-        values: _LazyValues,
+        values: "_Int64Column | _PickleColumn",
         *,
         cycles: CyclesPerOp = DEFAULT_CYCLES,
     ) -> None:
@@ -157,7 +211,12 @@ class PlanStore:
                     offset=data_start + desc["offset"],
                     shape=(desc["count"],),
                 )
-        values = _LazyValues(arrays["value_bytes"], arrays["value_offsets"])
+        if header["value_column"] == "int64":
+            values = _Int64Column(arrays["value_int64"])
+        else:
+            values = _PickleColumn(
+                arrays["value_bytes"], arrays["value_offsets"]
+            )
         pair_keys = arrays["pair_keys"]
         sorted_keys = (
             pair_keys if header["sorted_is_pair"] else arrays["sorted_keys"]
@@ -332,14 +391,21 @@ class PlanStore:
             self.verify()
 
     def get_batch(
-        self, keys, tracer: Tracer = NULL_TRACER
-    ) -> list:
+        self, keys, tracer: Tracer = NULL_TRACER, *, arrays: bool = False
+    ):
         """Values for a key batch, ``None`` where absent.
 
         Mirrors :meth:`repro.core.dili.DILI.get_batch`: with a real
         tracer the recorded base-plan descent is replayed per key in
         batch order, charging the same simulated cycles as the scalar
         loop over the in-memory index.
+
+        With ``arrays=True`` the answer is a ``(values, found)`` pair
+        of arrays instead of a list: ``found[i]`` is False where key
+        ``i`` is absent, and ``values`` is int64 for a typed plan whose
+        answers all fit it (0 where absent) and object otherwise (None
+        where absent).  The list answer is ``values`` with None
+        wherever ``found`` is False.
         """
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 1:
@@ -350,20 +416,49 @@ class PlanStore:
         out, trace = plan.lookup_batch(keys, record=record)
         if record:
             plan.replay_trace(keys, trace, tracer, self._cycles)
-        values = self._values
-        results = [
-            values[int(i)] if i >= 0 else None for i in out
-        ]
+        found = out >= 0
+        values = self._values.take(np.maximum(out, 0), found)
         overlay = self._overlay
         if overlay:
-            for pos in np.nonzero(
-                np.isin(keys, np.fromiter(
-                    overlay, dtype=np.float64, count=len(overlay)
-                ))
-            )[0]:
-                value, _ = overlay[float(keys[pos])]
-                results[pos] = None if value is _TOMBSTONE else value
-        return results
+            values = self._apply_overlay(keys, values, found)
+        if arrays:
+            return values, found
+        if values.dtype != object:
+            if found.all():
+                return values.tolist()
+            values = values.astype(object)
+            values[~found] = None
+        return values.tolist()
+
+    def _apply_overlay(
+        self, keys: np.ndarray, values: np.ndarray, found: np.ndarray
+    ) -> np.ndarray:
+        """Patch overlay answers into ``values``/``found`` (in place
+        where the dtype allows; an int64 array an overlay value does
+        not fit is upcast to object)."""
+        overlay = self._overlay
+        hits = np.flatnonzero(np.isin(keys, np.fromiter(
+            overlay, dtype=np.float64, count=len(overlay)
+        )))
+        if len(hits) == 0:
+            return values
+        patch = [overlay[key][0] for key in keys[hits].tolist()]
+        live = [value is not _TOMBSTONE for value in patch]
+        answers = [value if ok else None for value, ok in zip(patch, live)]
+        found[hits] = live
+        if values.dtype != object:
+            if int64_values(
+                [a for a, ok in zip(answers, live) if ok]
+            ) is not None:
+                values[hits] = [
+                    a if ok else 0 for a, ok in zip(answers, live)
+                ]
+                return values
+            values = values.astype(object)
+            values[~found] = None
+        for pos, answer in zip(hits.tolist(), answers):
+            values[pos] = answer
+        return values
 
     def contains_batch(self, keys) -> np.ndarray:
         """Boolean membership for a key batch (vectorized ``in``)."""

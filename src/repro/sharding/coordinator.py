@@ -112,6 +112,20 @@ def _raise_remote(name: str, message: str):
     raise WorkerRemoteError(f"shard worker {name}: {message}")
 
 
+def _answers_keys(answer, positions: np.ndarray) -> bool:
+    """Is ``answer`` a ``(values, found, segments)`` get_batch reply
+    with one value and one found flag per key in ``positions``?"""
+    if not isinstance(answer, tuple) or len(answer) != 3:
+        return False
+    values, found, _ = answer
+    return (
+        isinstance(values, np.ndarray)
+        and isinstance(found, np.ndarray)
+        and found.dtype == bool
+        and values.shape == found.shape == positions.shape
+    )
+
+
 def _mp_context():
     methods = mp.get_all_start_methods()
     return mp.get_context("fork" if "fork" in methods else "spawn")
@@ -748,41 +762,62 @@ class ShardedDILI:
 
     _READ_FAULTS = (ShardUnavailableError, WorkerDied, DeadlineExceeded)
 
-    def _gather_object(
+    def _gather_values(
         self, n: int, pending, record: bool, tracer: Tracer,
         deadline: Deadline, *, partial: bool = False, unavailable=(),
-    ):
+    ) -> list:
         """Collect get_batch responses back into input order.
+
+        Each worker answers ``(values, found, segments)``.  Both arrays
+        must match the shard's ``positions`` in length, or the response
+        is refused before anything is scattered.  They are scattered
+        into one preallocated value array -- int64 while every shard
+        answered int64, object otherwise -- and one found mask, and the
+        result list is built once at the end.
 
         In partial mode, a shard that cannot answer within the shared
         budget marks exactly its keys' positions with
         :data:`UNAVAILABLE` instead of failing the batch.
         """
-        out = np.empty(n, dtype=object)
+        unavailable = list(unavailable)
+        answers = []
         segments: list = [None] * n if record else []
-        for positions in unavailable:
-            out[positions] = UNAVAILABLE
         for index, positions, rid, args in pending:
             try:
-                values, segs = self._recv_retry(
+                answer = self._recv_retry(
                     index, rid, "get_batch", args, deadline
                 )
             except self._READ_FAULTS:
                 if not partial:
                     raise
-                out[positions] = UNAVAILABLE
+                unavailable.append(positions)
                 continue
-            boxed = np.empty(len(values), dtype=object)
-            boxed[:] = values
-            out[positions] = boxed
+            if not _answers_keys(answer, positions):
+                raise WorkerRemoteError(
+                    f"{self.manifest.shards[index].name}: get_batch "
+                    f"answer does not match its {len(positions)} keys"
+                )
+            values, found, segs = answer
+            answers.append((positions, values, found))
             if record:
                 for pos, seg in zip(positions.tolist(), segs):
                     segments[pos] = seg
+        typed = all(values.dtype == np.int64 for _, values, _ in answers)
+        out = np.zeros(n, dtype=np.int64 if typed else object)
+        hit = np.zeros(n, dtype=bool)
+        for positions, values, found in answers:
+            out[positions] = values
+            hit[positions] = found
+        if unavailable or not hit.all():
+            out = out.astype(object, copy=False)
+            out[~hit] = None
+            for positions in unavailable:
+                out[positions] = UNAVAILABLE
         if record:
             for seg in segments:
                 if seg is not None:
                     replay_segment(seg, tracer)
-        return list(out)
+        return out.tolist()
 
     # ------------------------------------------------------------------
     # Batch reads
@@ -831,7 +866,7 @@ class ShardedDILI:
                     continue
                 self.ops_counts[s] += hi - lo
                 pending.append((s, positions, rid, args))
-            return self._gather_object(
+            return self._gather_values(
                 n, pending, record, tracer, deadline,
                 partial=partial, unavailable=unavailable,
             )

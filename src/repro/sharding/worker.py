@@ -19,6 +19,12 @@ The same :class:`ShardWorker` object serves two transports:
   which the property-based tests use to avoid per-example process
   spawns.
 
+``get_batch`` answers with a ``(values, found, segments)`` triple:
+``values`` is the served plan's gathered value array -- ``int64`` for a
+typed plan, ``object`` otherwise -- and ``found`` the boolean mask of
+keys that have a value, so a typed answer crosses the pipe as two raw
+buffers instead of a pickled list of Python objects.
+
 Traced reads ship their simulated cost back to the coordinator as
 :class:`~repro.simulate.tracer.RecordingTracer` event tuples, split
 into per-key segments on the ``step1`` phase marker each key's replay
@@ -39,6 +45,7 @@ import numpy as np
 from repro.core.dili import DiliConfig
 from repro.durability.durable import DurableDILI
 from repro.planstore.serve import PlanDirectory
+from repro.planstore.store import value_arrays
 from repro.sharding.supervision import HEARTBEAT_RID, STARTUP_RID
 from repro.simulate.tracer import NULL_TRACER, RecordingTracer
 
@@ -196,11 +203,16 @@ class ShardWorker:
         self.ops["reads"] += len(keys)
         self.ops["batches"] += 1
         tracer = RecordingTracer() if record else NULL_TRACER
-        values = self._read_target().get_batch(keys, tracer)
+        if self.served is not None:
+            values, found = self.served.get_batch(keys, tracer, arrays=True)
+        else:
+            values, found = value_arrays(
+                self.durable.index.get_batch(keys, tracer)
+            )
         segments = (
             split_trace_segments(tracer.events, len(keys)) if record else None
         )
-        return list(values), segments
+        return values, found, segments
 
     def contains_batch(self, keys):
         keys = np.ascontiguousarray(keys, dtype=np.float64)
